@@ -23,7 +23,6 @@ use bench::{
     trajectory, two_communities, CellRecord, CellSpec, Json, ResultStore, Sweep, Table,
 };
 use cliquelist::baselines::simulate_naive_broadcast;
-use cliquelist::report::{json_f64, json_string};
 use cliquelist::result::phase;
 use cliquelist::{verify_against_ground_truth, verify_cliques, Engine, ExchangeMode, RunReport};
 use expander::{decompose, DecompositionConfig};
@@ -33,38 +32,51 @@ use graphcore::partition::{
 use graphcore::{gen, orientation};
 use std::path::Path;
 
+/// An experiment runner: prints its table unless `json`, returns its log.
+type Experiment = fn(bool) -> Json;
+
+/// The experiment ids in `all` order, with their runners.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("e1", e1_rounds_vs_n),
+    ("e2", e2_fast_k4),
+    ("e3", e3_congested_clique),
+    ("e4", e4_decomposition_quality),
+    ("e5", e5_bad_edges_and_loads),
+    ("e6", e6_baselines),
+    ("e7", e7_lemma_2_7),
+    ("e8", e8_correctness),
+    ("e9", e9_ablation),
+    ("e10", e10_lower_bound_ratio),
+    ("e11", e11_simulated_broadcast),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = Cli::parse(&args);
+    let all = cli.which == "all";
     match cli.which.as_str() {
         "report" => std::process::exit(report_cmd(&cli)),
         "check" => std::process::exit(check_cmd(&cli)),
-        _ => {}
-    }
-    let json = cli.json;
-    let all = cli.which == "all";
-    let mut rendered: Vec<String> = Vec::new();
-    let mut run = |id: &str, f: &dyn Fn(bool) -> String| {
-        if all || cli.which == id {
-            rendered.push(f(json));
+        "all" | "perf" => {}
+        which if EXPERIMENTS.iter().any(|&(id, _)| id == which) => {}
+        which => {
+            eprintln!("error: unknown experiment {which:?} (expected e1..e11, perf, all, report or check)");
+            std::process::exit(2);
         }
-    };
-    run("e1", &e1_rounds_vs_n);
-    run("e2", &e2_fast_k4);
-    run("e3", &e3_congested_clique);
-    run("e4", &e4_decomposition_quality);
-    run("e5", &e5_bad_edges_and_loads);
-    run("e6", &e6_baselines);
-    run("e7", &e7_lemma_2_7);
-    run("e8", &e8_correctness);
-    run("e9", &e9_ablation);
-    run("e10", &e10_lower_bound_ratio);
-    run("e11", &e11_simulated_broadcast);
-    if all || cli.which == "perf" {
-        rendered.push(perf_hot_paths(&cli, json));
     }
-    if json {
-        println!("{{\"experiments\":[{}]}}", rendered.join(","));
+    let mut rendered: Vec<Json> = EXPERIMENTS
+        .iter()
+        .filter(|&&(id, _)| all || cli.which == id)
+        .map(|&(_, run)| run(cli.json))
+        .collect();
+    if all || cli.which == "perf" {
+        rendered.push(perf_hot_paths(&cli, cli.json));
+    }
+    if cli.json {
+        println!(
+            "{}",
+            Json::obj(vec![("experiments", Json::Arr(rendered))]).render()
+        );
     }
 }
 
@@ -186,8 +198,8 @@ struct Log {
     id: &'static str,
     claim: &'static str,
     text: bool,
-    runs: Vec<String>,
-    fits: Vec<String>,
+    runs: Vec<Json>,
+    fits: Vec<Json>,
 }
 
 impl Log {
@@ -205,51 +217,40 @@ impl Log {
         }
     }
 
-    /// Records one run: `context` holds pre-rendered JSON values (numbers
-    /// raw, strings through [`json_string`]). A no-op in text mode, where
-    /// the rendered document is never printed.
-    fn run(&mut self, context: &[(&str, String)], report: Option<&RunReport>) {
+    /// Records one run: its context fields followed by the engine report.
+    /// A no-op in text mode, where the rendered document is never printed.
+    fn run(&mut self, mut context: Vec<(&str, Json)>, report: Option<&RunReport>) {
         if self.text {
             return;
         }
-        let mut entry = String::from("{");
-        for (key, value) in context {
-            entry.push_str(&format!("{}:{value},", json_string(key)));
-        }
-        match report {
-            Some(report) => entry.push_str(&format!("\"report\":{}", report.to_json())),
-            None => entry.push_str("\"report\":null"),
-        }
-        entry.push('}');
-        self.runs.push(entry);
+        context.push(("report", report.map_or(Json::Null, RunReport::json)));
+        self.runs.push(Json::obj(context));
     }
 
     fn fit(&mut self, series: &str, points: &[(f64, f64)]) -> Option<bench::FitResult> {
         let fit = fit_exponent(points)?;
         if !self.text {
-            self.fits.push(format!(
-                "{{\"series\":{},\"exponent\":{},\"r_squared\":{}}}",
-                json_string(series),
-                json_f64(fit.exponent),
-                json_f64(fit.r_squared)
-            ));
+            self.fits.push(Json::obj(vec![
+                ("series", series.into()),
+                ("exponent", fit.exponent.into()),
+                ("r_squared", fit.r_squared.into()),
+            ]));
         }
         Some(fit)
     }
 
-    fn render(self) -> String {
-        format!(
-            "{{\"id\":{},\"claim\":{},\"runs\":[{}],\"fits\":[{}]}}",
-            json_string(self.id),
-            json_string(self.claim),
-            self.runs.join(","),
-            self.fits.join(",")
-        )
+    fn render(self) -> Json {
+        Json::obj(vec![
+            ("id", self.id.into()),
+            ("claim", self.claim.into()),
+            ("runs", Json::Arr(self.runs)),
+            ("fits", Json::Arr(self.fits)),
+        ])
     }
 }
 
 /// E1 — Theorem 1.1: K_p listing rounds scale sub-linearly, ~ n^{p/(p+2)} + n^{3/4}.
-fn e1_rounds_vs_n(json: bool) -> String {
+fn e1_rounds_vs_n(json: bool) -> Json {
     let mut log = Log::new(
         "e1",
         "Theorem 1.1 — K_p listing in ~O(n^{3/4} + n^{p/(p+2)}) CONGEST rounds",
@@ -278,10 +279,10 @@ fn e1_rounds_vs_n(json: bool) -> String {
             let rounds = report.total_rounds();
             points.push((n as f64, rounds as f64));
             log.run(
-                &[
-                    ("n", n.to_string()),
-                    ("p", p.to_string()),
-                    ("m", w.graph.num_edges().to_string()),
+                vec![
+                    ("n", Json::from(n)),
+                    ("p", Json::from(p)),
+                    ("m", Json::from(w.graph.num_edges())),
                 ],
                 Some(&report),
             );
@@ -318,7 +319,7 @@ fn e1_rounds_vs_n(json: bool) -> String {
 }
 
 /// E2 — Theorem 1.2: the specialised K4 algorithm beats the general one.
-fn e2_fast_k4(json: bool) -> String {
+fn e2_fast_k4(json: bool) -> Json {
     let mut log = Log::new(
         "e2",
         "Theorem 1.2 — K_4 listing in ~O(n^{2/3}) rounds (vs the general algorithm)",
@@ -337,7 +338,7 @@ fn e2_fast_k4(json: bool) -> String {
         fast_points.push((n as f64, fast.total_rounds() as f64));
         for report in [&general, &fast] {
             log.run(
-                &[("n", n.to_string()), ("m", w.graph.num_edges().to_string())],
+                vec![("n", Json::from(n)), ("m", Json::from(w.graph.num_edges()))],
                 Some(report),
             );
         }
@@ -369,7 +370,7 @@ fn e2_fast_k4(json: bool) -> String {
 }
 
 /// E3 — Theorem 1.3: CONGESTED CLIQUE rounds ~ Θ(1 + m / n^{1+2/p}).
-fn e3_congested_clique(json: bool) -> String {
+fn e3_congested_clique(json: bool) -> Json {
     let mut log = Log::new(
         "e3",
         "Theorem 1.3 — sparsity-aware CONGESTED CLIQUE listing in ~Θ(1 + m/n^{1+2/p}) rounds",
@@ -403,10 +404,10 @@ fn e3_congested_clique(json: bool) -> String {
             let stats = report.congested_clique.expect("CC stats present");
             points.push((g.num_edges() as f64, report.total_rounds() as f64));
             log.run(
-                &[
-                    ("n", n.to_string()),
-                    ("m", g.num_edges().to_string()),
-                    ("density", json_f64(density)),
+                vec![
+                    ("n", Json::from(n)),
+                    ("m", Json::from(g.num_edges())),
+                    ("density", Json::from(density)),
                 ],
                 Some(&report),
             );
@@ -435,7 +436,7 @@ fn e3_congested_clique(json: bool) -> String {
 }
 
 /// E4 — Definition 2.2 / Theorem 2.3: decomposition quality.
-fn e4_decomposition_quality(json: bool) -> String {
+fn e4_decomposition_quality(json: bool) -> Json {
     let mut log = Log::new(
         "e4",
         "Definition 2.2 — expander decomposition guarantees (|E_r| ≤ |E|/6, degrees, mixing, arboricity)",
@@ -486,15 +487,15 @@ fn e4_decomposition_quality(json: bool) -> String {
                 .map(|c| c.mixing_time(&em_graph))
                 .fold(0.0f64, f64::max);
             log.run(
-                &[
-                    ("graph", json_string(label)),
-                    ("delta", json_f64(delta)),
+                vec![
+                    ("graph", Json::from(label.as_str())),
+                    ("delta", Json::from(delta)),
                     (
                         "er_fraction",
-                        json_f64(d.er.len() as f64 / graph.num_edges().max(1) as f64),
+                        Json::from(d.er.len() as f64 / graph.num_edges().max(1) as f64),
                     ),
-                    ("clusters", d.clusters.len().to_string()),
-                    ("valid", valid.to_string()),
+                    ("clusters", Json::from(d.clusters.len())),
+                    ("valid", Json::from(valid)),
                 ],
                 None,
             );
@@ -527,7 +528,7 @@ fn e4_decomposition_quality(json: bool) -> String {
 }
 
 /// E5 — Section 2.4.1: bad-edge fraction and the Remark 2.10 load bound.
-fn e5_bad_edges_and_loads(json: bool) -> String {
+fn e5_bad_edges_and_loads(json: bool) -> Json {
     let mut log = Log::new(
         "e5",
         "Section 2.4.1 — bad-edge fraction ≤ 1/25 of cluster edges; Remark 2.10 per-node load",
@@ -567,10 +568,10 @@ fn e5_bad_edges_and_loads(json: bool) -> String {
             let words = engine.config().words_per_edge;
             let bound = (n as f64).powf(0.75) * a as f64 * words as f64;
             log.run(
-                &[
-                    ("n", n.to_string()),
-                    ("bad_node_factor", json_f64(factor)),
-                    ("load_bound", json_f64(bound)),
+                vec![
+                    ("n", Json::from(n)),
+                    ("bad_node_factor", Json::from(factor)),
+                    ("load_bound", Json::from(bound)),
                 ],
                 Some(&report),
             );
@@ -594,7 +595,7 @@ fn e5_bad_edges_and_loads(json: bool) -> String {
 
 /// E6 — who wins: the paper's algorithms vs the naive broadcast and the
 /// Eden-et-al-style baseline.
-fn e6_baselines(json: bool) -> String {
+fn e6_baselines(json: bool) -> Json {
     let mut log = Log::new(
         "e6",
         "Comparison — paper's K4 algorithms vs naive broadcast and Eden-style baseline",
@@ -635,7 +636,7 @@ fn e6_baselines(json: bool) -> String {
             let (report, cliques) = engine.collect(&w.graph);
             verify_cliques(&w.graph, 4, &cliques).expect("all baselines must be exact");
             log.run(
-                &[("n", n.to_string()), ("m", w.graph.num_edges().to_string())],
+                vec![("n", Json::from(n)), ("m", Json::from(w.graph.num_edges()))],
                 Some(&report),
             );
             reports.push(report);
@@ -673,7 +674,7 @@ constants, so the comparison is between the fitted growth exponents)"
 }
 
 /// E7 — Lemma 2.7: random vertex samples do not concentrate edges.
-fn e7_lemma_2_7(json: bool) -> String {
+fn e7_lemma_2_7(json: bool) -> Json {
     let mut log = Log::new(
         "e7",
         "Lemma 2.7 — a q-sample of an m-edge graph induces ≤ 6q²m edges w.h.p.",
@@ -702,11 +703,11 @@ fn e7_lemma_2_7(json: bool) -> String {
             }
         }
         log.run(
-            &[
-                ("q", json_f64(q)),
-                ("max_sampled_edges", max_edges.to_string()),
-                ("bound", json_f64(lemma_2_7_bound(m, q))),
-                ("violations", violations.to_string()),
+            vec![
+                ("q", Json::from(q)),
+                ("max_sampled_edges", Json::from(max_edges)),
+                ("bound", Json::from(lemma_2_7_bound(m, q))),
+                ("violations", Json::from(violations)),
             ],
             None,
         );
@@ -725,7 +726,7 @@ fn e7_lemma_2_7(json: bool) -> String {
 }
 
 /// E8 — end-to-end correctness matrix.
-fn e8_correctness(json: bool) -> String {
+fn e8_correctness(json: bool) -> Json {
     let mut log = Log::new(
         "e8",
         "Correctness — union of node outputs equals the exact K_p list (all algorithms)",
@@ -779,11 +780,11 @@ fn e8_correctness(json: bool) -> String {
                     "FAIL"
                 };
                 log.run(
-                    &[
-                        ("workload", json_string(label)),
-                        ("p", p.to_string()),
-                        ("ground_truth", truth.to_string()),
-                        ("exact", (ok == "ok").to_string()),
+                    vec![
+                        ("workload", Json::from(label.as_str())),
+                        ("p", Json::from(p)),
+                        ("ground_truth", Json::from(truth)),
+                        ("exact", Json::from(ok == "ok")),
                     ],
                     Some(&report),
                 );
@@ -812,7 +813,7 @@ fn e8_correctness(json: bool) -> String {
 
 /// E9 — ablations: sparsity-aware vs dense exchange, selected through the
 /// engine builder.
-fn e9_ablation(json: bool) -> String {
+fn e9_ablation(json: bool) -> Json {
     let mut log = Log::new(
         "e9",
         "Ablation — sparsity-aware in-cluster listing vs generic (dense) listing",
@@ -840,7 +841,7 @@ fn e9_ablation(json: bool) -> String {
         verify_cliques(&w.graph, 4, &dense_cliques).expect("dense output exact");
         for (mode, report) in [("sparsity-aware", &sparse), ("dense-assumption", &dense)] {
             log.run(
-                &[("n", n.to_string()), ("exchange_mode", json_string(mode))],
+                vec![("n", Json::from(n)), ("exchange_mode", Json::from(mode))],
                 Some(report),
             );
         }
@@ -862,7 +863,7 @@ fn e9_ablation(json: bool) -> String {
 }
 
 /// E10 — measured rounds against the Ω̃(n^{(p-2)/p}) lower bound of Fischer et al.
-fn e10_lower_bound_ratio(json: bool) -> String {
+fn e10_lower_bound_ratio(json: bool) -> Json {
     let mut log = Log::new(
         "e10",
         "Context — measured rounds vs the Fischer et al. lower bound Ω̃(n^{(p-2)/p})",
@@ -875,10 +876,10 @@ fn e10_lower_bound_ratio(json: bool) -> String {
             let (report, _) = experiment_engine(p, "general").count(&w.graph);
             let lower = (n as f64).powf((p as f64 - 2.0) / p as f64);
             log.run(
-                &[
-                    ("n", n.to_string()),
-                    ("p", p.to_string()),
-                    ("lower_bound", json_f64(lower)),
+                vec![
+                    ("n", Json::from(n)),
+                    ("p", Json::from(p)),
+                    ("lower_bound", Json::from(lower)),
                 ],
                 Some(&report),
             );
@@ -905,7 +906,7 @@ fn e10_lower_bound_ratio(json: bool) -> String {
 /// records, so successive PRs can diff simulator performance (unlike E1–E11,
 /// the quantities here are timings, not round counts — they carry no
 /// scientific claim and vary with the host).
-fn perf_hot_paths(cli: &Cli, json: bool) -> String {
+fn perf_hot_paths(cli: &Cli, json: bool) -> Json {
     let (sweep, outcome, rev) = run_selected_sweep(cli, cli.resume);
     let records = trajectory::with_speedups(&outcome.records);
     if !json {
@@ -933,38 +934,28 @@ fn perf_hot_paths(cli: &Cli, json: bool) -> String {
         for record in &records {
             let config = &record.spec.config;
             let metrics = &record.metrics;
-            let field = |doc: &Json, key: &str| {
+            let show = |doc: &Json, key: &str, missing: &str| {
                 doc.get(key)
+                    .and_then(Json::as_f64)
+                    .map_or_else(|| missing.to_string(), |v| format!("{v}"))
+            };
+            let ms = |key: &str| {
+                metrics
+                    .get(key)
                     .and_then(Json::as_f64)
                     .map_or_else(|| "-".to_string(), |v| format!("{v:.2}"))
             };
-            let count = metrics
-                .get("cliques")
-                .and_then(Json::as_f64)
-                .map_or_else(|| "skipped".to_string(), |v| format!("{v}"));
+            let kernel = config.get("kernel").and_then(Json::as_str);
             table.row(&[
                 record.spec.experiment.clone(),
                 record.spec.workload.clone(),
-                config
-                    .get("p")
-                    .and_then(Json::as_f64)
-                    .map_or_else(|| "-".to_string(), |v| format!("{v}")),
-                config
-                    .get("threads")
-                    .and_then(Json::as_f64)
-                    .map_or_else(|| "-".to_string(), |v| format!("{v}")),
-                config
-                    .get("kernel")
-                    .and_then(Json::as_str)
-                    .unwrap_or("-")
-                    .to_string(),
-                count,
-                field(metrics, "best_ms"),
-                field(metrics, "mean_ms"),
-                metrics
-                    .get("threads_used")
-                    .and_then(Json::as_f64)
-                    .map_or_else(|| "-".to_string(), |v| format!("{v}")),
+                show(config, "p", "-"),
+                show(config, "threads", "-"),
+                kernel.unwrap_or("-").to_string(),
+                show(metrics, "cliques", "skipped"),
+                ms("best_ms"),
+                ms("mean_ms"),
+                show(metrics, "threads_used", "-"),
             ]);
         }
         println!("{table}");
@@ -973,13 +964,15 @@ fn perf_hot_paths(cli: &Cli, json: bool) -> String {
              plus the historical artifacts into BENCH_TRAJECTORY.json)"
         );
     }
-    let runs: Vec<String> = records.iter().map(|r| perf_run_json(r).render()).collect();
-    format!(
-        "{{\"id\":{},\"claim\":{},\"runs\":[{}],\"fits\":[]}}",
-        json_string(&sweep.id),
-        json_string(&sweep.claim),
-        runs.join(",")
-    )
+    Json::obj(vec![
+        ("id", sweep.id.into()),
+        ("claim", sweep.claim.into()),
+        (
+            "runs",
+            Json::Arr(records.iter().map(perf_run_json).collect()),
+        ),
+        ("fits", Json::Arr(Vec::new())),
+    ])
 }
 
 /// Renders one cached cell in the shape of the historical `perf` run entries
@@ -1067,7 +1060,7 @@ fn check_cmd(cli: &Cli) -> i32 {
             return 2;
         }
     };
-    let baseline = match Json::parse(&text) {
+    let baseline = match bench::json::parse(&text) {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!("error: baseline {} is not valid JSON: {e:?}", cli.baseline);
@@ -1108,7 +1101,7 @@ fn check_cmd(cli: &Cli) -> i32 {
 /// broadcast reproduces the analytic `Θ(Δ)` round count and the exact listing.
 /// Built with `--features parallel`, the simulation steps nodes on all cores
 /// (`cargo run --release -p bench --features parallel --bin experiments -- e11`).
-fn e11_simulated_broadcast(json: bool) -> String {
+fn e11_simulated_broadcast(json: bool) -> Json {
     let executor = if cfg!(feature = "parallel") {
         "parallel"
     } else {
@@ -1130,13 +1123,13 @@ fn e11_simulated_broadcast(json: bool) -> String {
         let exact = verify_against_ground_truth(&g, 3, &result).is_ok();
         let status = if exact { "ok" } else { "FAIL" };
         log.run(
-            &[
-                ("n", n.to_string()),
-                ("m", g.num_edges().to_string()),
-                ("executor", json_string(executor)),
-                ("simulated_rounds", report.simulated_rounds.to_string()),
-                ("words_sent", report.metrics.words_sent.to_string()),
-                ("exact", exact.to_string()),
+            vec![
+                ("n", Json::from(n)),
+                ("m", Json::from(g.num_edges())),
+                ("executor", Json::from(executor)),
+                ("simulated_rounds", Json::from(report.simulated_rounds)),
+                ("words_sent", Json::from(report.metrics.words_sent)),
+                ("exact", Json::from(exact)),
             ],
             None,
         );

@@ -1,163 +1,27 @@
-//! A minimal JSON value type with parsing, rendering and canonicalisation.
-//!
-//! The workspace vendors a marker-only `serde` stand-in (`DESIGN.md` §5), so
-//! everything that must *read* JSON back — the content-addressed result store,
-//! the trajectory consolidation over the historical `BENCH_PR{3,4,5}.json`
-//! artifacts, and the perf-gate comparison — goes through this hand-rolled
-//! value type instead. It is deliberately small: objects preserve insertion
-//! order (so re-rendered documents stay diffable), numbers are `f64` (every
-//! metric the harness records fits), and the only extravagance is
-//! [`Json::canonical`], the sorted-key rendering that makes the store's
-//! config hashes stable under field reordering.
+//! The JSON reader of the experiment harness (the value type and its writer
+//! are [`graphcore::json`]): the result store, the trajectory consolidation
+//! over the historical `BENCH_PR{3,4,5}.json` artifacts and the perf gate
+//! read documents back through [`parse`]. Every number parses to
+//! [`Json::Num`] (`f64` fits every metric the harness records), so a parsed
+//! document compares equal to one built with `Json::Num` fields.
 
-use std::fmt::Write as _;
+pub use graphcore::Json;
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (the harness never needs more than `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order (duplicated keys keep the last value).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Builds an object from key/value pairs (convenience for literals).
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Parses a JSON document. Returns a descriptive error (byte offset +
+/// reason) on malformed input — the result store treats any error as a
+/// corrupted cell and recovers by re-running it.
+pub fn parse(text: &str) -> Result<Json, ParseError> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after the document"));
     }
-
-    /// Looks a key up in an object (`None` for other variants).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Inserts (or replaces) a key in an object; no-op on other variants.
-    pub fn set(&mut self, key: &str, value: Json) {
-        if let Json::Obj(pairs) = self {
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = value;
-            } else {
-                pairs.push((key.to_string(), value));
-            }
-        }
-    }
-
-    /// Renders the value as compact JSON, preserving object insertion order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, false);
-        out
-    }
-
-    /// Renders the value with every object's keys sorted (recursively):
-    /// the canonical form the result store hashes, so two configs that
-    /// differ only in field order hash identically.
-    pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, true);
-        out
-    }
-
-    fn write(&self, out: &mut String, canonical: bool) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Integral values render without a trailing `.0` so the
-                    // round-trip `parse(render(x)) == x` stays exact and the
-                    // output matches the hand-written emitters elsewhere.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        let _ = write!(out, "{}", *v as i64);
-                    } else {
-                        let _ = write!(out, "{v}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out, canonical);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                let mut order: Vec<usize> = (0..pairs.len()).collect();
-                if canonical {
-                    order.sort_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0));
-                }
-                for (i, &idx) in order.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, &pairs[idx].0);
-                    out.push(':');
-                    pairs[idx].1.write(out, canonical);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document. Returns a descriptive error (byte offset +
-    /// reason) on malformed input — the result store treats any error as a
-    /// corrupted cell and recovers by re-running it.
-    pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(value)
-    }
+    Ok(value)
 }
 
 /// A parse failure: byte offset and reason.
@@ -177,24 +41,6 @@ impl std::fmt::Display for ParseError {
             self.offset, self.reason
         )
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -385,7 +231,7 @@ mod tests {
     #[test]
     fn round_trips_a_nested_document() {
         let text = r#"{"a":1,"b":[true,null,"x\ny"],"c":{"d":2.5,"e":-3}}"#;
-        let parsed = Json::parse(text).unwrap();
+        let parsed = parse(text).unwrap();
         assert_eq!(parsed.render(), text);
         assert_eq!(
             parsed.get("c").unwrap().get("d").unwrap().as_f64(),
@@ -395,19 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_sorts_keys_recursively() {
-        let a = Json::parse(r#"{"z":{"b":1,"a":2},"a":3}"#).unwrap();
-        let b = Json::parse(r#"{"a":3,"z":{"a":2,"b":1}}"#).unwrap();
-        assert_ne!(a.render(), b.render());
-        assert_eq!(a.canonical(), b.canonical());
-        assert_eq!(a.canonical(), r#"{"a":3,"z":{"a":2,"b":1}}"#);
-    }
-
-    #[test]
     fn parses_the_run_report_shape() {
         // The exact shape RunReport::to_json emits must survive a round trip.
         let text = r#"{"algorithm":"general","model":"congest","p":4,"rounds":{"total":15,"phases":{"decomposition":10}},"parallel":{"supported":true,"sequential_reason":null}}"#;
-        let parsed = Json::parse(text).unwrap();
+        let parsed = parse(text).unwrap();
         assert_eq!(parsed.render(), text);
         assert_eq!(
             parsed.get("rounds").unwrap().get("total").unwrap().as_f64(),
@@ -418,27 +255,17 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "1 2"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
-        let err = Json::parse("{\"a\" 1}").unwrap_err();
+        let err = parse("{\"a\" 1}").unwrap_err();
         assert!(err.to_string().contains("byte"));
     }
 
     #[test]
-    fn numbers_render_like_the_hand_written_emitters() {
-        assert_eq!(Json::Num(5.0).render(), "5");
-        assert_eq!(Json::Num(2.5).render(), "2.5");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
-    }
-
-    #[test]
-    fn set_and_get_on_objects() {
-        let mut v = Json::obj(vec![("a", Json::Num(1.0))]);
-        v.set("b", Json::Str("x".into()));
-        v.set("a", Json::Num(2.0));
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("missing"), None);
+    fn every_number_parses_as_f64() {
+        assert_eq!(parse("5").unwrap(), Json::Num(5.0));
+        assert_eq!(parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(parse("1e3").unwrap(), Json::Num(1000.0));
+        assert_eq!(parse("2.5").unwrap().render(), "2.5");
     }
 }

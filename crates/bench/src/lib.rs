@@ -1,11 +1,12 @@
 //! Shared helpers for the benchmark and experiment harness.
 //!
 //! The actual experiments live in the `experiments` binary (one subcommand per
-//! experiment id from `DESIGN.md` §4) and in the Criterion benches under
-//! `benches/`. This library provides the pieces they share: standard
-//! workloads, log–log exponent fitting, plain-text table rendering, and the
-//! resumable experiment harness (`json` / `store` / `sweep` / `sweeps` /
-//! `trajectory`) behind `experiments -- perf --resume`, `report` and `check`.
+//! experiment id from `DESIGN.md` §4). This library provides the pieces it
+//! shares with the tests and the end-to-end benchmark: standard workloads,
+//! log–log exponent fitting, plain-text table rendering, and the resumable
+//! experiment harness (`json` / `store` / `sweep` / `sweeps` / `trajectory`)
+//! behind `experiments -- perf --resume`, `report` and `check`. JSON values
+//! are [`graphcore::Json`]; `json` adds only the parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,7 +16,8 @@
 //! (SNIPPETS.md §2–3): per-config result files, seeds carried in the config,
 //! and "remove the results directory" as the blunt cache-clear.
 
-use crate::json::Json;
+use crate::json::{self, Json};
+use graphcore::fnv1a;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -39,18 +40,35 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
+    /// The identity object: experiment, workload, config and seed. Compared
+    /// and hashed only in canonical (key-sorted) form.
+    pub(crate) fn identity(&self) -> Json {
+        Json::obj(vec![
+            ("experiment", Json::Str(self.experiment.clone())),
+            ("workload", Json::Str(self.workload.clone())),
+            ("config", self.config.clone()),
+            ("seed", Json::Num(self.seed as f64)),
+        ])
+    }
+
+    /// Reads the identity fields back from a stored record or trajectory
+    /// cell.
+    pub(crate) fn from_json(doc: &Json) -> Option<CellSpec> {
+        Some(CellSpec {
+            experiment: doc.get("experiment")?.as_str()?.to_string(),
+            workload: doc.get("workload")?.as_str()?.to_string(),
+            config: doc.get("config")?.clone(),
+            seed: doc.get("seed")?.as_f64()? as u64,
+        })
+    }
+
     /// The cell's content hash at `git_rev`: FNV-1a 64 over the canonical
     /// JSON identity. Stable across config field reordering (objects are
     /// key-sorted first), different for any change to experiment, workload,
     /// config, seed or revision.
     pub fn key(&self, git_rev: &str) -> u64 {
-        let identity = Json::obj(vec![
-            ("experiment", Json::Str(self.experiment.clone())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("config", self.config.clone()),
-            ("seed", Json::Num(self.seed as f64)),
-            ("git_rev", Json::Str(git_rev.to_string())),
-        ]);
+        let mut identity = self.identity();
+        identity.set("git_rev", Json::Str(git_rev.to_string()));
         fnv1a(identity.canonical().as_bytes())
     }
 
@@ -80,9 +98,9 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Renders the record as the JSON document stored on disk. The embedded
-    /// `key` lets [`ResultStore::load`] detect records whose content no
-    /// longer matches their identity (hand-edited or half-written files).
+    /// Renders the record as the JSON document stored on disk (and as a
+    /// trajectory cell). The embedded `key` is for humans browsing
+    /// `results/`; [`ResultStore::load`] re-checks the identity itself.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("experiment", Json::Str(self.spec.experiment.clone())),
@@ -98,24 +116,13 @@ impl CellRecord {
         ])
     }
 
-    fn from_json(doc: &Json) -> Option<CellRecord> {
-        let spec = CellSpec {
-            experiment: doc.get("experiment")?.as_str()?.to_string(),
-            workload: doc.get("workload")?.as_str()?.to_string(),
-            config: doc.get("config")?.clone(),
-            seed: doc.get("seed")?.as_f64()? as u64,
-        };
-        let git_rev = doc.get("git_rev")?.as_str()?.to_string();
-        let record = CellRecord {
+    /// Reads a record back from a [`CellRecord::to_json`] document.
+    pub(crate) fn from_json(doc: &Json) -> Option<CellRecord> {
+        Some(CellRecord {
+            spec: CellSpec::from_json(doc)?,
+            git_rev: doc.get("git_rev")?.as_str()?.to_string(),
             metrics: doc.get("metrics")?.clone(),
-            spec,
-            git_rev,
-        };
-        let stored_key = doc.get("key")?.as_str()?;
-        if stored_key != format!("{:016x}", record.spec.key(&record.git_rev)) {
-            return None;
-        }
-        Some(record)
+        })
     }
 }
 
@@ -137,14 +144,14 @@ impl ResultStore {
     }
 
     /// Loads the completed cell for `spec` at `git_rev`, or `None` when the
-    /// cell is missing **or corrupted** (unparseable JSON, or content that no
-    /// longer matches the key it is filed under). Corrupted files are removed
-    /// so the directory never accumulates junk — the cell re-runs and the
-    /// fresh result overwrites them anyway.
+    /// cell is missing **or corrupted** (unparseable JSON, or an identity
+    /// that no longer matches the spec and revision it is filed under).
+    /// Corrupted files are removed so the directory never accumulates junk —
+    /// the cell re-runs and the fresh result overwrites them anyway.
     pub fn load(&self, spec: &CellSpec, git_rev: &str) -> Option<CellRecord> {
         let path = self.root.join(spec.file_name(git_rev));
         let text = fs::read_to_string(&path).ok()?;
-        let record = Json::parse(&text)
+        let record = json::parse(&text)
             .ok()
             .as_ref()
             .and_then(CellRecord::from_json);
@@ -207,19 +214,6 @@ fn read_git_rev(git_dir: &Path) -> Option<String> {
         })
 }
 
-/// FNV-1a, 64-bit. Tiny, dependency-free, and plenty for cache addressing
-/// (a collision would need two *different* canonical cell identities — the
-/// space is far too sparse for that to matter, and the stored record embeds
-/// the full identity anyway, which `load` checks).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn slug(text: &str) -> String {
     let mut out: String = text
         .chars()
@@ -244,7 +238,7 @@ mod tests {
         CellSpec {
             experiment: "enumeration".into(),
             workload: "er(400,0.25)".into(),
-            config: Json::parse(r#"{"p":4,"threads":2,"algorithm":"general"}"#).unwrap(),
+            config: json::parse(r#"{"p":4,"threads":2,"algorithm":"general"}"#).unwrap(),
             seed: 7,
         }
     }
@@ -253,7 +247,7 @@ mod tests {
     fn key_is_stable_across_config_field_reordering() {
         let a = spec();
         let mut b = spec();
-        b.config = Json::parse(r#"{"algorithm":"general","threads":2,"p":4}"#).unwrap();
+        b.config = json::parse(r#"{"algorithm":"general","threads":2,"p":4}"#).unwrap();
         assert_ne!(a.config.render(), b.config.render());
         assert_eq!(a.key("rev1"), b.key("rev1"));
         assert_eq!(a.file_name("rev1"), b.file_name("rev1"));
@@ -285,7 +279,7 @@ mod tests {
         let record = CellRecord {
             spec: spec(),
             git_rev: "rev1".into(),
-            metrics: Json::parse(r#"{"best_ms":1.5,"cliques":263564}"#).unwrap(),
+            metrics: json::parse(r#"{"best_ms":1.5,"cliques":263564}"#).unwrap(),
         };
         assert!(store.load(&spec(), "rev1").is_none(), "cold store misses");
         store.save(&record).unwrap();
@@ -302,7 +296,7 @@ mod tests {
         let record = CellRecord {
             spec: spec(),
             git_rev: "rev1".into(),
-            metrics: Json::parse(r#"{"best_ms":1.5}"#).unwrap(),
+            metrics: json::parse(r#"{"best_ms":1.5}"#).unwrap(),
         };
         store.save(&record).unwrap();
         let path = store.root().join(spec().file_name("rev1"));
@@ -315,7 +309,7 @@ mod tests {
         // Valid JSON whose content does not match the key it is filed under
         // (hand-edited metrics tampering with the seed).
         store.save(&record).unwrap();
-        let mut doc = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        let mut doc = json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
         doc.set("seed", Json::Num(99.0));
         fs::write(&path, doc.render()).unwrap();
         assert!(store.load(&spec(), "rev1").is_none(), "tampered → miss");
@@ -334,12 +328,5 @@ mod tests {
         let b = git_rev();
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -609,8 +609,6 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                 count = sink.count;
             });
             let report = report.expect("at least one rep ran");
-            let report_json =
-                Json::parse(&report.to_json()).expect("RunReport::to_json is valid JSON");
             metrics.extend([
                 ("cliques".to_string(), Json::Num(count as f64)),
                 ("best_ms".to_string(), Json::Num(best)),
@@ -623,7 +621,7 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
                     "threads_used".to_string(),
                     num(report.parallelism.threads_used),
                 ),
-                ("report".to_string(), report_json),
+                ("report".to_string(), report.json()),
             ]);
         }
         "query-throughput" => {
@@ -647,10 +645,7 @@ pub fn execute_perf_cell(spec: &CellSpec) -> Result<Json, Interrupted> {
             );
             // The deterministic payloads (request order) and the summed
             // census counts — both gated exactly by `trajectory::check`.
-            let payloads: Vec<Json> = responses
-                .iter()
-                .map(|r| Json::parse(&r.to_json()).expect("response payload is valid JSON"))
-                .collect();
+            let payloads: Vec<Json> = responses.iter().map(query::QueryResponse::json).collect();
             let cliques: f64 = responses
                 .iter()
                 .filter_map(|r| match r.outcome {

@@ -33,7 +33,7 @@
 //! New cells (grid growth) and baseline cells with no fresh counterpart
 //! (feature-gated series) are reported but never fail the gate.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::store::CellRecord;
 use crate::sweep::Sweep;
 use std::fs;
@@ -77,27 +77,11 @@ const DETERMINISTIC_METRICS: &[&str] = &[
 pub const HISTORY_FILES: &[&str] = &["BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR5.json"];
 
 fn deterministic_identity(record: &CellRecord) -> String {
-    let mut config = record.spec.config.clone();
-    if let Json::Obj(pairs) = &mut config {
+    let mut spec = record.spec.clone();
+    if let Json::Obj(pairs) = &mut spec.config {
         pairs.retain(|(k, _)| !HOST_KEYS.contains(&k.as_str()));
     }
-    Json::obj(vec![
-        ("experiment", Json::Str(record.spec.experiment.clone())),
-        ("workload", Json::Str(record.spec.workload.clone())),
-        ("seed", Json::Num(record.spec.seed as f64)),
-        ("config", config),
-    ])
-    .canonical()
-}
-
-fn full_identity(record: &CellRecord) -> String {
-    Json::obj(vec![
-        ("experiment", Json::Str(record.spec.experiment.clone())),
-        ("workload", Json::Str(record.spec.workload.clone())),
-        ("seed", Json::Num(record.spec.seed as f64)),
-        ("config", record.spec.config.clone()),
-    ])
-    .canonical()
+    spec.identity().canonical()
 }
 
 fn cell_label(record: &CellRecord) -> String {
@@ -158,53 +142,43 @@ pub fn with_speedups(records: &[CellRecord]) -> Vec<CellRecord> {
         let Some(best) = best.filter(|&ms| ms > 0.0) else {
             continue;
         };
-        let (experiment, workload, seed) = (
-            cell.spec.experiment.clone(),
-            cell.spec.workload.clone(),
-            cell.spec.seed,
-        );
-        let sans_threads = config_without(cell, "threads");
-        let sans_kernel = config_without(cell, "kernel");
-        let series = |r: &&CellRecord, key: &str, group: &str| {
-            r.spec.experiment == experiment
-                && r.spec.workload == workload
-                && r.spec.seed == seed
-                && config_without(r, key) == group
-        };
-        let mut derived = false;
-        if cell.spec.config.get("threads").is_some() {
-            let baseline = records.iter().find(|r| {
-                series(r, "threads", &sans_threads)
-                    && r.spec.config.get("threads").and_then(Json::as_f64) == Some(1.0)
-            });
-            if let Some(base_ms) = baseline
+        // The best time of the cell in this one's series (same experiment,
+        // workload, seed and config apart from `key`) whose `key` is the
+        // series baseline.
+        let baseline_ms = |key: &str, is_baseline: fn(&Json) -> bool| {
+            let group = config_without(cell, key);
+            records
+                .iter()
+                .find(|r| {
+                    r.spec.experiment == cell.spec.experiment
+                        && r.spec.workload == cell.spec.workload
+                        && r.spec.seed == cell.spec.seed
+                        && config_without(r, key) == group
+                        && r.spec.config.get(key).is_some_and(is_baseline)
+                })
                 .and_then(|r| r.metrics.get("best_ms").and_then(Json::as_f64))
                 .filter(|&ms| ms > 0.0)
-            {
-                cell.metrics
-                    .set("speedup_vs_1_thread", Json::Num(base_ms / best));
-                derived = true;
+        };
+        let mut speedups = Vec::new();
+        if cell.spec.config.get("threads").is_some() {
+            if let Some(base_ms) = baseline_ms("threads", |t| t.as_f64() == Some(1.0)) {
+                speedups.push(("speedup_vs_1_thread", base_ms / best));
             }
         }
         if cell.spec.config.get("kernel").and_then(Json::as_str) == Some("trie") {
-            let baseline = records.iter().find(|r| {
-                series(r, "kernel", &sans_kernel)
-                    && r.spec.config.get("kernel").and_then(Json::as_str) == Some("recursive")
-            });
-            if let Some(base_ms) = baseline
-                .and_then(|r| r.metrics.get("best_ms").and_then(Json::as_f64))
-                .filter(|&ms| ms > 0.0)
-            {
-                cell.metrics
-                    .set("speedup_vs_recursive", Json::Num(base_ms / best));
-                derived = true;
+            if let Some(base_ms) = baseline_ms("kernel", |k| k.as_str() == Some("recursive")) {
+                speedups.push(("speedup_vs_recursive", base_ms / best));
             }
         }
-        if derived {
-            let provenance = speedup_provenance(cell);
-            cell.metrics
-                .set("speedup_provenance", Json::Str(provenance.to_string()));
+        if speedups.is_empty() {
+            continue;
         }
+        for (metric, speedup) in speedups {
+            cell.metrics.set(metric, Json::Num(speedup));
+        }
+        let provenance = speedup_provenance(cell);
+        cell.metrics
+            .set("speedup_provenance", Json::Str(provenance.to_string()));
     }
     out
 }
@@ -219,7 +193,7 @@ pub fn load_history(dir: &Path) -> Vec<Json> {
         let Ok(text) = fs::read_to_string(dir.join(name)) else {
             continue;
         };
-        let Ok(doc) = Json::parse(&text) else {
+        let Ok(doc) = json::parse(&text) else {
             continue;
         };
         let experiments = doc
@@ -333,25 +307,8 @@ fn trajectory_cells(trajectory: &Json) -> Vec<CellRecord> {
         .and_then(Json::as_arr)
         .unwrap_or(&[])
         .iter()
-        .filter_map(cell_from_doc)
+        .filter_map(CellRecord::from_json)
         .collect()
-}
-
-fn cell_from_doc(doc: &Json) -> Option<CellRecord> {
-    Some(CellRecord {
-        spec: crate::store::CellSpec {
-            experiment: doc.get("experiment")?.as_str()?.to_string(),
-            workload: doc.get("workload")?.as_str()?.to_string(),
-            config: doc.get("config")?.clone(),
-            seed: doc.get("seed")?.as_f64()? as u64,
-        },
-        git_rev: doc
-            .get("git_rev")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
-        metrics: doc.get("metrics")?.clone(),
-    })
 }
 
 /// Compares fresh sweep results against a committed trajectory document.
@@ -394,8 +351,10 @@ pub fn check(trajectory: &Json, fresh: &[CellRecord], time_factor: Option<f64>) 
         }
 
         // Timing gate: only between cells whose full config matches.
-        let base_full = full_identity(base);
-        let timed = fresh.iter().find(|r| full_identity(r) == base_full);
+        let base_full = base.spec.identity().canonical();
+        let timed = fresh
+            .iter()
+            .find(|r| r.spec.identity().canonical() == base_full);
         let base_ms = base.metrics.get("best_ms").and_then(Json::as_f64);
         let new_ms = timed.and_then(|r| r.metrics.get("best_ms").and_then(Json::as_f64));
         if let (Some(base_ms), Some(new_ms)) = (base_ms, new_ms) {
@@ -647,7 +606,7 @@ mod tests {
             git_rev: "base-rev".into(),
             metrics: Json::obj(vec![
                 ("cliques", Json::Num(50.0)),
-                ("responses", Json::parse(responses).unwrap()),
+                ("responses", json::parse(responses).unwrap()),
                 ("best_ms", Json::Num(3.0)),
             ]),
         }

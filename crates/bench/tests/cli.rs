@@ -128,3 +128,27 @@ fn report_is_stable_across_reruns_on_a_warm_cache() {
     assert_eq!(a, b, "warm-cache consolidation is byte-identical");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_experiment_ids_are_usage_errors() {
+    let dir = temp_dir("unknown");
+    for args in [&["e99"][..], &["e99", "--json"], &["E1"], &["e0", "--json"]] {
+        let out = experiments(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown experiment"), "{args:?}: {stderr}");
+    }
+    let known = experiments(&dir, &["e7", "--json"]);
+    assert!(known.status.success(), "e7: {known:?}");
+    let doc = bench::json::parse(String::from_utf8_lossy(&known.stdout).trim()).expect("JSON");
+    let ids: Vec<&str> = doc
+        .get("experiments")
+        .and_then(bench::Json::as_arr)
+        .expect("an experiments array")
+        .iter()
+        .filter_map(|e| e.get("id").and_then(bench::Json::as_str))
+        .collect();
+    assert_eq!(ids, ["e7"]);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -113,7 +113,7 @@ fn killed_then_resumed_sweep_consolidates_byte_identically() {
     );
 
     // And the gate agrees the two are equivalent.
-    let trajectory = Json::parse(&scratch_doc).expect("trajectory parses");
+    let trajectory = bench::json::parse(&scratch_doc).expect("trajectory parses");
     assert!(check(&trajectory, &resumed.records, None).is_empty());
 
     let _ = fs::remove_dir_all(scratch_store.root());

@@ -6,16 +6,14 @@
 //! listed cliques streamed to a [`CliqueSink`](crate::CliqueSink) instead of
 //! being materialised inside the report.
 //!
-//! The report derives the workspace `serde` markers and additionally carries
-//! a hand-rolled [`RunReport::to_json`]: the vendored `serde` stand-in has no
-//! data format (see `DESIGN.md` §5), so the JSON emission used by the
-//! experiments harness (`experiments --json`) is implemented directly here
-//! and switches to `serde_json` transparently once a real backend lands.
+//! The report derives the workspace `serde` markers, but the vendored
+//! `serde` stand-in has no data format (see `DESIGN.md` §5), so
+//! [`RunReport::to_json`] builds a [`graphcore::Json`] value and renders it
+//! through the workspace's one JSON writer.
 
 use crate::result::{Diagnostics, Rounds};
-use graphcore::{KernelChoice, KernelStrategy};
+use graphcore::{Json, KernelChoice, KernelStrategy};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// The communication model an algorithm runs in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -214,118 +212,91 @@ impl RunReport {
 
     /// Renders the report as a single JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        let _ = write!(out, "\"algorithm\":{}", json_string(self.algorithm));
-        let model = self
-            .model
-            .map_or("null".to_string(), |m| json_string(m.name()));
-        let _ = write!(out, ",\"model\":{model}");
-        let _ = write!(out, ",\"p\":{}", self.p);
-        out.push_str(",\"rounds\":{\"total\":");
-        let _ = write!(out, "{}", self.rounds.total());
-        out.push_str(",\"phases\":{");
-        for (i, (phase, rounds)) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{rounds}", json_string(phase));
-        }
-        out.push_str("}}");
+        self.json().render()
+    }
+
+    /// [`RunReport::to_json`] as a JSON value, for embedding in larger
+    /// documents.
+    pub fn json(&self) -> Json {
         let d = &self.diagnostics;
-        let _ = write!(
-            out,
-            ",\"diagnostics\":{{\"bad_edges\":{},\"cluster_edges\":{},\"bad_edge_fraction\":{},\
-             \"max_learned_words\":{},\"decompositions\":{},\"clusters\":{},\
-             \"list_iterations\":{},\"arb_iterations\":{}}}",
-            d.bad_edges,
-            d.cluster_edges,
-            json_f64(d.bad_edge_fraction()),
-            d.max_learned_words,
-            d.decompositions,
-            d.clusters,
-            d.list_iterations,
-            d.arb_iterations
-        );
-        let _ = write!(
-            out,
-            ",\"sink\":{{\"emitted\":{},\"saturated\":{}}}",
-            self.sink.emitted, self.sink.saturated
-        );
-        // `threads_granted`/`threads_used` are deliberately omitted: like
-        // wall-clock timings they are host/execution details, and including
-        // them would make otherwise byte-identical runs diff by thread count.
-        let reason = self
-            .parallelism
-            .sequential_reason
-            .map_or("null".to_string(), json_string);
-        let _ = write!(
-            out,
-            ",\"parallel\":{{\"supported\":{},\"sequential_reason\":{reason}}}",
-            self.parallelism.supported
-        );
-        match &self.congested_clique {
-            Some(cc) => {
-                let _ = write!(
-                    out,
-                    ",\"congested_clique\":{{\"max_send\":{},\"max_recv\":{},\
-                     \"predicted_rounds\":{}}}",
-                    cc.max_send,
-                    cc.max_recv,
-                    json_f64(cc.predicted_rounds)
-                );
-            }
-            None => out.push_str(",\"congested_clique\":null"),
-        }
+        let phases = self
+            .rounds
+            .iter()
+            .map(|(phase, rounds)| (phase.to_string(), rounds.into()))
+            .collect();
+        let mut fields = vec![
+            ("algorithm", self.algorithm.into()),
+            ("model", self.model.map(Model::name).into()),
+            ("p", self.p.into()),
+            (
+                "rounds",
+                Json::obj(vec![
+                    ("total", self.rounds.total().into()),
+                    ("phases", Json::Obj(phases)),
+                ]),
+            ),
+            (
+                "diagnostics",
+                Json::obj(vec![
+                    ("bad_edges", d.bad_edges.into()),
+                    ("cluster_edges", d.cluster_edges.into()),
+                    ("bad_edge_fraction", d.bad_edge_fraction().into()),
+                    ("max_learned_words", d.max_learned_words.into()),
+                    ("decompositions", d.decompositions.into()),
+                    ("clusters", d.clusters.into()),
+                    ("list_iterations", d.list_iterations.into()),
+                    ("arb_iterations", d.arb_iterations.into()),
+                ]),
+            ),
+            (
+                "sink",
+                Json::obj(vec![
+                    ("emitted", self.sink.emitted.into()),
+                    ("saturated", self.sink.saturated.into()),
+                ]),
+            ),
+            // `threads_granted`/`threads_used` are deliberately omitted: like
+            // wall-clock timings they are host/execution details, and
+            // including them would make otherwise byte-identical runs diff by
+            // thread count.
+            (
+                "parallel",
+                Json::obj(vec![
+                    ("supported", self.parallelism.supported.into()),
+                    (
+                        "sequential_reason",
+                        self.parallelism.sequential_reason.into(),
+                    ),
+                ]),
+            ),
+            (
+                "congested_clique",
+                self.congested_clique.map_or(Json::Null, |cc| {
+                    Json::obj(vec![
+                        ("max_send", cc.max_send.into()),
+                        ("max_recv", cc.max_recv.into()),
+                        ("predicted_rounds", cc.predicted_rounds.into()),
+                    ])
+                }),
+            ),
+        ];
         // `Complete` (the only outcome a fault-free run can have) is omitted
         // entirely so that pre-fault-model report bytes are reproduced
         // exactly; only degraded runs grow the extra field.
         match &self.outcome {
             RunOutcome::Complete => {}
-            RunOutcome::Degraded(reason) => {
-                let _ = write!(
-                    out,
-                    ",\"outcome\":{{\"status\":\"degraded\",\"reason\":{}}}",
-                    json_string(reason)
-                );
-            }
+            RunOutcome::Degraded(reason) => fields.push((
+                "outcome",
+                Json::obj(vec![
+                    ("status", "degraded".into()),
+                    ("reason", reason.as_str().into()),
+                ]),
+            )),
             RunOutcome::Aborted => {
-                out.push_str(",\"outcome\":{\"status\":\"aborted\"}");
+                fields.push(("outcome", Json::obj(vec![("status", "aborted".into())])));
             }
         }
-        out.push('}');
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a float as a JSON number (JSON has no NaN/infinity; those map to
-/// `null`).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        Json::obj(fields)
     }
 }
 
@@ -438,10 +409,46 @@ mod tests {
 
     #[test]
     fn string_escaping() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(0.5), "0.5");
+        let mut report = RunReport::new("general", Model::Congest, 4);
+        report.outcome = RunOutcome::Degraded("a\"b\\c\nd".to_string());
+        assert!(report.to_json().ends_with(r#""reason":"a\"b\\c\nd"}}"#));
+    }
+
+    #[test]
+    fn degraded_report_bytes_are_pinned() {
+        // Pinned bytes of a degraded report — fractional floats, a
+        // full-range integer and escaped free text. Recorded report
+        // artifacts (BENCH_TRAJECTORY.json) depend on every one of them.
+        let mut report = RunReport::new("congested-clique", Model::CongestedClique, 4);
+        report.rounds.add(phase::DECOMPOSITION, 12);
+        report.rounds.add(phase::RETRANSMIT, 3);
+        report.diagnostics.bad_edges = 1;
+        report.diagnostics.cluster_edges = 3;
+        report.diagnostics.max_learned_words = u64::MAX;
+        report.diagnostics.clusters = 2;
+        report.sink.emitted = 7;
+        report.sink.saturated = true;
+        report.congested_clique = Some(CongestedCliqueStats {
+            max_send: 5,
+            max_recv: 6,
+            predicted_rounds: 1.0 + 2f64.sqrt(),
+        });
+        report.outcome = RunOutcome::Degraded("1 node(s) \"crash\"-stopped\n\ttab\\".to_string());
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"algorithm":"congested-clique","model":"congested-clique","p":4,"#,
+                r#""rounds":{"total":15,"phases":{"decomposition":12,"retransmit":3}},"#,
+                r#""diagnostics":{"bad_edges":1,"cluster_edges":3,"#,
+                r#""bad_edge_fraction":0.3333333333333333,"#,
+                r#""max_learned_words":18446744073709551615,"decompositions":0,"#,
+                r#""clusters":2,"list_iterations":0,"arb_iterations":0},"#,
+                r#""sink":{"emitted":7,"saturated":true},"#,
+                r#""parallel":{"supported":false,"sequential_reason":null},"#,
+                r#""congested_clique":{"max_send":5,"max_recv":6,"#,
+                r#""predicted_rounds":2.414213562373095},"#,
+                r#""outcome":{"status":"degraded","reason":"1 node(s) \"crash\"-stopped\n\ttab\\"}}"#,
+            )
+        );
     }
 }

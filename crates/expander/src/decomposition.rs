@@ -281,6 +281,11 @@ impl Decomposition {
 /// cluster. Cut edges go to `E_r`; if the `E_r` budget (`|E|/6` by default)
 /// would be exceeded, the component is accepted as-is so the budget guarantee
 /// always holds.
+///
+/// The construction is deterministic and ignores `_seed`: the power
+/// iteration behind the sweep cuts starts from a fixed vector, so the same
+/// `(graph, delta, config)` always yields the same decomposition whatever
+/// seed is passed. The parameter stays in the signature for API stability.
 pub fn decompose(
     graph: &Graph,
     delta: f64,

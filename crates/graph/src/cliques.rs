@@ -1423,19 +1423,27 @@ mod tests {
         let g = Graph::from_edges(120, &edges).unwrap();
         assert!(g.max_degree() >= BITSET_DEGREE_THRESHOLD);
         assert!((0..120u32).any(|v| g.degree(v) < BITSET_DEGREE_THRESHOLD));
-        for p in [3usize, 4, 5] {
-            let listed = list_cliques(&g, p);
-            // Reference: merge-only enumeration via the containing-edge API
-            // (which never builds bitsets), unioned over all edges.
-            let mut reference: Vec<Clique> = Vec::new();
-            for (a, b) in g.edges() {
-                reference.extend(cliques_containing_edge(&g, p, a, b));
+        // Reference: a merge-only enumeration that finds each clique exactly
+        // once, in lexicographic order, by extending ascending candidate
+        // lists with sorted intersections (never builds bitsets).
+        fn extend(g: &Graph, p: usize, clique: &mut Clique, cand: &[u32], out: &mut Vec<Clique>) {
+            if clique.len() == p {
+                out.push(clique.clone());
+                return;
             }
-            reference.sort_unstable();
-            reference.dedup();
-            // Every clique contains at least one edge for p >= 2, but is
-            // found once per contained edge — the dedup above fixes that.
-            assert_eq!(listed, reference, "p = {p}");
+            let mut next = Vec::new();
+            for (i, &w) in cand.iter().enumerate() {
+                crate::intersect_sorted_into(&cand[i + 1..], g.neighbors(w), &mut next);
+                clique.push(w);
+                extend(g, p, clique, &next, out);
+                clique.pop();
+            }
+        }
+        let all: Vec<u32> = (0..120).collect();
+        for p in [3usize, 4, 5] {
+            let mut reference = Vec::new();
+            extend(&g, p, &mut Vec::new(), &all, &mut reference);
+            assert_eq!(list_cliques(&g, p), reference, "p = {p}");
         }
     }
 

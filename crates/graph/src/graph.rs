@@ -63,7 +63,7 @@ const GALLOP_RATIO: usize = 32;
 
 /// Writes the sorted intersection of two sorted `u32` slices into `out`
 /// (cleared first). Comparable sizes take the classic `O(|a| + |b|)`
-/// two-pointer merge; skewed sizes (ratio ≥ [`GALLOP_RATIO`]) gallop: each
+/// two-pointer merge; skewed sizes (ratio ≥ `GALLOP_RATIO`) gallop: each
 /// element of the shorter slice is located in the remaining suffix of the
 /// longer one by doubling probes plus a bounded binary search, for
 /// `O(|short| · log |long|)` total. Both paths produce identical output and

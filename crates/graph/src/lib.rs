@@ -26,7 +26,10 @@
 //! * [`spectral`]: conductance and lazy-random-walk mixing-time estimates used
 //!   to validate the clusters produced by the expander decomposition;
 //! * [`partition`]: random vertex partitions and the edge-count bound of
-//!   Lemma 2.7.
+//!   Lemma 2.7;
+//! * [`json`] and [`fnv`]: the workspace's one JSON writer and one content
+//!   hash, shared by every report, query payload and cache key above this
+//!   crate.
 //!
 //! # Example
 //!
@@ -44,8 +47,10 @@
 pub mod churn;
 pub mod cliques;
 pub mod edge;
+pub mod fnv;
 pub mod gen;
 pub mod graph;
+pub mod json;
 pub mod ordered_merge;
 pub mod orientation;
 pub mod partition;
@@ -55,7 +60,9 @@ pub mod stats;
 pub use churn::{AppliedBatch, BatchError, EdgeBatch};
 pub use cliques::{KernelChoice, KernelStrategy};
 pub use edge::{Edge, EdgeSet};
+pub use fnv::{fnv1a, Fnv1a};
 pub use graph::{intersect_sorted_into, Graph, GraphError};
+pub use json::Json;
 pub use orientation::{Orientation, OrientedDag};
 
 /// A clique, stored as a strictly increasing list of vertex identifiers.

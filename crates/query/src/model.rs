@@ -10,8 +10,8 @@
 //! different snapshot is itself a typed error, and the canonical
 //! `(snapshot id, query)` identity string doubles as the cache key preimage.
 
-use crate::cache::fnv1a;
 use crate::snapshot::GraphSnapshot;
+use graphcore::{fnv1a, Json};
 use std::fmt;
 
 /// What a query asks for. Carried inside [`Query`]; constructed via the
@@ -102,22 +102,31 @@ impl Query {
     /// the string — this is the cache key preimage and part of
     /// [`QueryResponse::to_json`](crate::QueryResponse::to_json).
     pub fn canonical_identity(&self) -> String {
-        let mut s = format!("{{\"kind\":\"{}\"", self.kind.name());
+        self.identity().render()
+    }
+
+    /// [`Query::canonical_identity`] as a JSON value.
+    pub(crate) fn identity(&self) -> Json {
+        let mut fields = vec![("kind", self.kind.name().into())];
         match self.kind {
-            QueryKind::FirstK { k } => s.push_str(&format!(",\"k\":{k}")),
-            QueryKind::ContainingVertex { vertex } => s.push_str(&format!(",\"vertex\":{vertex}")),
-            QueryKind::ContainingEdge { u, v } => s.push_str(&format!(",\"u\":{u},\"v\":{v}")),
+            QueryKind::FirstK { k } => fields.push(("k", k.into())),
+            QueryKind::ContainingVertex { vertex } => fields.push(("vertex", vertex.into())),
+            QueryKind::ContainingEdge { u, v } => {
+                fields.push(("u", u.into()));
+                fields.push(("v", v.into()));
+            }
             QueryKind::CountKp | QueryKind::Exists => {}
         }
-        s.push_str(&format!(",\"p\":{},\"seed\":{}", self.p, self.seed));
+        fields.push(("p", self.p.into()));
+        fields.push(("seed", self.seed.into()));
         // The budget participates only when set, so every pre-budget
         // identity (and thus every cache key and recorded response payload)
         // is unchanged byte for byte.
         if let Some(budget) = self.budget {
-            s.push_str(&format!(",\"budget\":{budget}"));
+            fields.push(("budget", budget.into()));
         }
-        s.push_str(&format!(",\"snapshot\":\"{:016x}\"}}", self.snapshot_id));
-        s
+        fields.push(("snapshot", format!("{:016x}", self.snapshot_id).into()));
+        Json::obj(fields)
     }
 
     /// The FNV-1a hash of [`Query::canonical_identity`] — the cache key.

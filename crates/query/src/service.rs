@@ -20,7 +20,7 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::model::{Query, QueryError, QueryKind};
 use crate::snapshot::GraphSnapshot;
 use cliquelist::Parallelism;
-use graphcore::Clique;
+use graphcore::{Clique, Json};
 use std::sync::Arc;
 
 /// How one query was executed: the cache/fan-out facts that vary with the
@@ -71,32 +71,29 @@ impl QueryResponse {
     /// battery and the bench trajectory gate compare. [`QueryReport`] is
     /// deliberately excluded.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"outcome\":");
-        match &self.outcome {
-            QueryOutcome::Count(count) => s.push_str(&format!("{{\"count\":{count}}}")),
-            QueryOutcome::Exists(exists) => s.push_str(&format!("{{\"exists\":{exists}}}")),
-            QueryOutcome::Cliques(cliques) => {
-                s.push_str("{\"cliques\":[");
-                for (i, clique) in cliques.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    for (j, v) in clique.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&v.to_string());
-                    }
-                    s.push(']');
-                }
-                s.push_str("]}");
-            }
-        }
-        s.push_str(",\"query\":");
-        s.push_str(&self.query.canonical_identity());
-        s.push('}');
-        s
+        self.json().render()
+    }
+
+    /// [`QueryResponse::to_json`] as a JSON value, for embedding in larger
+    /// documents.
+    pub fn json(&self) -> Json {
+        let outcome = match &self.outcome {
+            QueryOutcome::Count(count) => ("count", (*count).into()),
+            QueryOutcome::Exists(exists) => ("exists", (*exists).into()),
+            QueryOutcome::Cliques(cliques) => (
+                "cliques",
+                Json::Arr(
+                    cliques
+                        .iter()
+                        .map(|c| Json::Arr(c.iter().map(|&v| v.into()).collect()))
+                        .collect(),
+                ),
+            ),
+        };
+        Json::obj(vec![
+            ("outcome", Json::obj(vec![outcome])),
+            ("query", self.query.identity()),
+        ])
     }
 }
 
@@ -458,6 +455,40 @@ mod tests {
     fn service(n: usize, prob: f64, seed: u64) -> (QueryService, Arc<GraphSnapshot>) {
         let snapshot = GraphSnapshot::build(gen::erdos_renyi(n, prob, seed)).into_shared();
         (QueryService::new(snapshot.clone()), snapshot)
+    }
+
+    #[test]
+    fn payloads_and_cache_keys_are_pinned_at_full_range_seeds() {
+        // Pinned bytes: the cache key is the FNV-1a of the identity, so a
+        // change to either moves every cached result and recorded payload.
+        let snapshot = GraphSnapshot::build(gen::complete_graph(6)).into_shared();
+        let service = QueryService::new(snapshot.clone());
+        let max = u64::MAX;
+        let pinned = [
+            (
+                QueryBuilder::new().p(3).seed(max).first(3),
+                0x8980_a823_b896_b659_u64,
+                r#"{"cliques":[[0,1,5],[0,2,5],[0,3,5]]}"#,
+                r#"{"kind":"first-k","k":3,"p":3,"seed":18446744073709551615,"#,
+            ),
+            (
+                QueryBuilder::new().p(4).seed(max).budget(max).count(),
+                0x28ea_4389_d7f1_f763,
+                r#"{"count":15}"#,
+                r#"{"kind":"count-kp","p":4,"seed":18446744073709551615,"budget":18446744073709551615,"#,
+            ),
+        ];
+        for (builder, key, outcome, identity) in pinned {
+            let query = builder.build(&snapshot).expect("valid");
+            let identity = format!(r#"{identity}"snapshot":"c448f5360ac54cbd"}}"#);
+            assert_eq!(query.canonical_identity(), identity);
+            assert_eq!(query.cache_key(), key);
+            let payload = service.execute(&query).expect("runs").to_json();
+            assert_eq!(
+                payload,
+                format!(r#"{{"outcome":{outcome},"query":{identity}}}"#)
+            );
+        }
     }
 
     #[cfg(feature = "parallel")]

@@ -14,9 +14,8 @@
 //! graphs share cached results and any structural change produces a fresh
 //! identity (see `DESIGN.md` §11).
 
-use crate::cache::Fnv1a;
 use graphcore::cliques::{CliqueIndex, ShardPlan};
-use graphcore::{BatchError, EdgeBatch, Graph, KernelChoice, KernelStrategy};
+use graphcore::{BatchError, EdgeBatch, Fnv1a, Graph, KernelChoice, KernelStrategy};
 use std::fmt;
 use std::sync::Arc;
 
