@@ -1067,16 +1067,16 @@ fn check_cmd(cli: &Cli) -> i32 {
             return 2;
         }
     };
-    let (_, outcome, rev) = run_selected_sweep(cli, true);
+    let (sweep, outcome, rev) = run_selected_sweep(cli, true);
     let mut violations = trajectory::check(&baseline, &outcome.records, cli.time_factor);
     // The multi-core scaling gate (PR 10): a parallel build on a multi-core
     // host must actually produce the derived speedup cells — CI's 4-vCPU
     // legs fail here if the scaling series silently disappears. Sequential
-    // builds skip it (the scaling cells are feature-gated out), and 1-core
-    // hosts pass vacuously inside `check_scaling`.
+    // builds skip it (the scaling cells are feature-gated out); 1-core hosts
+    // and sweeps without scaling cells pass vacuously inside `check_scaling`.
     if cfg!(feature = "parallel") {
         let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        violations.extend(trajectory::check_scaling(&outcome.records, host));
+        violations.extend(trajectory::check_scaling(&sweep, &outcome.records, host));
     }
     if violations.is_empty() {
         eprintln!(

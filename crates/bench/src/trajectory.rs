@@ -34,7 +34,7 @@
 //! (feature-gated series) are reported but never fail the gate.
 
 use crate::json::{self, Json};
-use crate::store::CellRecord;
+use crate::store::{CellRecord, CellSpec};
 use crate::sweep::Sweep;
 use std::fs;
 use std::path::Path;
@@ -372,37 +372,25 @@ pub fn check(trajectory: &Json, fresh: &[CellRecord], time_factor: Option<f64>) 
 }
 
 /// The multi-core scaling gate (PR 10): on a host with two or more cores, a
-/// parallel-build sweep must actually produce the scaling evidence —
-/// every `scaling-sweep`/`thread-scaling` cell with `threads > 1` must have
-/// derived a `speedup_vs_1_thread`, and at least one such cell must exist.
-/// A 1-core host (`host_threads < 2`) cannot measure speedup, so the gate
-/// passes vacuously there — which is exactly why every derived cell also
-/// carries `speedup_provenance`: committed 1-core numbers and multi-core CI
-/// numbers never alias. The caller is expected to skip this on sequential
-/// builds (where the scaling cells are feature-gated out).
-pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation> {
+/// parallel-build run of a sweep that declares scaling cells must actually
+/// produce the scaling evidence — every `scaling-sweep`/`thread-scaling`
+/// cell with `threads > 1` must have derived a `speedup_vs_1_thread`, and at
+/// least one such cell must have run. Sweeps that declare no such cell (the
+/// smoke sweep) have nothing to prove. A 1-core host (`host_threads < 2`)
+/// cannot measure speedup, so the gate passes vacuously there — which is
+/// exactly why every derived cell also carries `speedup_provenance`:
+/// committed 1-core numbers and multi-core CI numbers never alias. The
+/// caller is expected to skip this on sequential builds (where the scaling
+/// cells are feature-gated out).
+pub fn check_scaling(sweep: &Sweep, fresh: &[CellRecord], host_threads: usize) -> Vec<Violation> {
     let mut violations = Vec::new();
     if host_threads < 2 {
         return violations;
     }
     let fresh = with_speedups(fresh);
     let mut saw_scaling_cell = false;
-    for cell in fresh.iter().filter(|r| {
-        matches!(
-            r.spec.experiment.as_str(),
-            "scaling-sweep" | "thread-scaling"
-        )
-    }) {
+    for cell in fresh.iter().filter(|r| is_multi_thread_scaling(&r.spec)) {
         if cell.metrics.get("skipped").is_some() {
-            continue;
-        }
-        let threads = cell
-            .spec
-            .config
-            .get("threads")
-            .and_then(Json::as_f64)
-            .unwrap_or(1.0);
-        if threads <= 1.0 {
             continue;
         }
         saw_scaling_cell = true;
@@ -415,7 +403,7 @@ pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation
             });
         }
     }
-    if !saw_scaling_cell {
+    if !saw_scaling_cell && sweep.cells.iter().any(is_multi_thread_scaling) {
         violations.push(Violation {
             cell: "scaling-sweep".to_string(),
             metric: "speedup_vs_1_thread".to_string(),
@@ -424,6 +412,18 @@ pub fn check_scaling(fresh: &[CellRecord], host_threads: usize) -> Vec<Violation
         });
     }
     violations
+}
+
+/// Whether `spec` is a scaling cell with a `threads > 1` grant — a cell the
+/// scaling gate expects a derived speedup for.
+fn is_multi_thread_scaling(spec: &CellSpec) -> bool {
+    matches!(spec.experiment.as_str(), "scaling-sweep" | "thread-scaling")
+        && spec
+            .config
+            .get("threads")
+            .and_then(Json::as_f64)
+            .unwrap_or(1.0)
+            > 1.0
 }
 
 fn truncate(text: &str) -> String {
@@ -440,7 +440,6 @@ fn truncate(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::CellSpec;
 
     fn record(workload: &str, threads: Option<usize>, cliques: f64, best_ms: f64) -> CellRecord {
         let mut config = vec![
@@ -549,26 +548,61 @@ mod tests {
         );
     }
 
+    /// A sweep declaring the cells of `records`.
+    fn declaring(records: &[CellRecord]) -> Sweep {
+        let mut declared = sweep();
+        declared.cells = records.iter().map(|r| r.spec.clone()).collect();
+        declared
+    }
+
     #[test]
     fn scaling_gate_requires_speedups_on_multi_core_hosts() {
         let full = vec![
             scaling_record("trie", 1, 8.0, 4.0),
             scaling_record("trie", 4, 2.0, 4.0),
         ];
+        let declared = declaring(&full);
         // A 1-core host passes vacuously — it cannot measure speedup.
-        assert!(check_scaling(&full, 1).is_empty());
+        assert!(check_scaling(&declared, &full, 1).is_empty());
         // A multi-core host with a derivable series passes.
-        assert!(check_scaling(&full, 4).is_empty());
+        assert!(check_scaling(&declared, &full, 4).is_empty());
         // Dropping the 1-thread baseline makes the speedup underivable: the
         // threads > 1 cell is a violation.
         let headless = vec![scaling_record("trie", 4, 2.0, 4.0)];
-        let violations = check_scaling(&headless, 4);
+        let violations = check_scaling(&declared, &headless, 4);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "speedup_vs_1_thread");
-        // Losing the scaling cells entirely is itself a violation.
+        // Losing the declared scaling cells entirely is itself a violation.
         let none = vec![scaling_record("trie", 1, 8.0, 4.0)];
-        assert_eq!(check_scaling(&none, 4).len(), 1);
-        assert!(check_scaling(&[], 4).len() == 1);
+        assert_eq!(check_scaling(&declared, &none, 4).len(), 1);
+        assert!(check_scaling(&declared, &[], 4).len() == 1);
+    }
+
+    #[test]
+    fn scaling_gate_passes_sweeps_without_scaling_cells() {
+        // The smoke sweep declares no threads > 1 scaling cell, so a
+        // multi-core host has no speedup to prove.
+        let records = vec![
+            record("er(400,0.25)", None, 100.0, 8.0),
+            scaling_record("trie", 1, 8.0, 4.0),
+        ];
+        assert!(check_scaling(&declaring(&records), &records, 4).is_empty());
+        assert!(check_scaling(&sweep(), &[], 4).is_empty());
+    }
+
+    #[test]
+    fn scaling_gate_fails_declared_scaling_cells_without_speedup() {
+        // Every scaling cell ran, but no 1-thread cell shares their series,
+        // so no speedup derives: each threads > 1 cell fails.
+        let records = vec![
+            scaling_record("trie", 2, 4.0, 4.0),
+            scaling_record("recursive", 4, 2.0, 4.0),
+        ];
+        let violations = check_scaling(&declaring(&records), &records, 2);
+        assert_eq!(violations.len(), 2);
+        assert!(violations
+            .iter()
+            .all(|v| v.metric == "speedup_vs_1_thread" && v.fresh == "missing"));
     }
 
     #[test]

@@ -17,17 +17,20 @@
 //! deprecated wrapper and was removed in the following release.
 
 use crate::config::ListingConfig;
+use crate::engine::names;
 use crate::parts::TupleAssignment;
-use crate::report::CongestedCliqueStats;
-use crate::result::{phase, Rounds};
+use crate::report::{CongestedCliqueStats, Model, RunReport};
+use crate::result::phase;
 use crate::sink::CliqueSink;
 use congest::CongestedClique;
+use graphcore::cliques::CliqueIndex;
 use graphcore::partition::VertexPartition;
-use graphcore::{Graph, Orientation};
+use graphcore::Graph;
 
 /// Runs the CONGESTED CLIQUE algorithm, emitting every `K_p` of `graph` into
-/// `sink` exactly once, and returns the measured rounds, the load statistics,
-/// and the worker fan-out the local enumeration actually reached.
+/// `sink` exactly once, and returns the report: the measured rounds, the
+/// load statistics, the worker fan-out the local enumeration actually
+/// reached and the input graph's degeneracy.
 ///
 /// The caller is responsible for validating `config` (`p ≥ 3`); the
 /// [`Engine`](crate::Engine) builder does this. Graphs with fewer than two
@@ -36,64 +39,58 @@ pub(crate) fn run_streaming(
     graph: &Graph,
     config: &ListingConfig,
     sink: &mut dyn CliqueSink,
-) -> (Rounds, CongestedCliqueStats, usize) {
+) -> RunReport {
     let n = graph.num_vertices();
     let p = config.p;
     let m = graph.num_edges();
-    let mut rounds = Rounds::new();
-    let mut stats = CongestedCliqueStats {
+    let mut report = RunReport::new(names::CONGESTED_CLIQUE, Model::CongestedClique, p);
+    let stats = report.congested_clique.insert(CongestedCliqueStats {
         predicted_rounds: if n >= 2 {
             1.0 + m as f64 / (n as f64).powf(1.0 + 2.0 / p as f64)
         } else {
             0.0
         },
         ..Default::default()
-    };
+    });
 
     if m == 0 || n < 2 {
-        return (rounds, stats, 1);
+        // An edgeless graph is 0-degenerate.
+        report.kernel.degeneracy = Some(0);
+        return report;
     }
     let clique = CongestedClique::new(n);
 
-    // Orientation with out-degree O(arboricity): each node is responsible for
-    // its outgoing edges.
-    let orientation = Orientation::from_degeneracy(graph);
+    // One index serves the whole run: its degeneracy ordering orients the
+    // send load, it drives the local enumeration, and its degeneracy is the
+    // one the engine's kernel summary resolves against.
+    let index = CliqueIndex::build(graph);
 
     // Partition into ~n^{1/p} parts; announcing one part per owned vertex is a
     // single round (every node broadcasts its own part).
     let assignment = TupleAssignment::new(n, p);
     let partition = VertexPartition::random(n, assignment.num_parts, config.seed);
-    rounds.add(phase::PARTITION_BROADCAST, 1);
+    report.rounds.add(phase::PARTITION_BROADCAST, 1);
 
     // Edge exchange loads. The pair counts live in a flat upper-triangular
-    // [`PairTable`] over the `≈ n^{1/p}` parts and the per-tuple pair dedup
-    // is a sorted scratch vector — no hash container anywhere on this path,
-    // so every intermediate iteration order is structural (the same flat
-    // layout the in-cluster listing uses; see `expander::ids`).
+    // [`PairTable`] over the `≈ n^{1/p}` parts — no hash container anywhere
+    // on this path, so every intermediate iteration order is structural (the
+    // same flat layout the in-cluster listing uses; see `expander::ids`).
+    // Each node is responsible for the edges oriented away from it: every
+    // edge leaves its endpoint that comes earlier in the degeneracy
+    // ordering, so out-degrees are O(arboricity).
     let words = config.words_per_edge;
+    let position = &index.ordering().position;
     let mut pair_counts = expander::PairTable::new(assignment.num_parts);
     let mut send_load = vec![0u64; n];
     for (u, v) in graph.edges() {
         let (a, b) = (partition.part_of(u), partition.part_of(v));
         pair_counts.add(a, b, 1);
-        let source = orientation.source_of(u, v).unwrap_or(u);
+        let source = std::cmp::min_by_key(u, v, |&w| position[w as usize]);
         send_load[source as usize] += assignment.owners_needing(a.min(b), a.max(b)) * words;
     }
-    let mut max_recv = 0u64;
-    let mut tuple_pairs: Vec<(u32, u32)> = Vec::new();
-    for rank in 0..n {
-        let mut load = 0u64;
-        for t in assignment.tuples_of(rank) {
-            assignment.distinct_pairs_into(t, &mut tuple_pairs);
-            for &(a, b) in &tuple_pairs {
-                load += pair_counts.get(a, b) * words;
-            }
-        }
-        max_recv = max_recv.max(load);
-    }
     stats.max_send = send_load.iter().copied().max().unwrap_or(0);
-    stats.max_recv = max_recv;
-    rounds.add(
+    stats.max_recv = assignment.max_receive_load(|a, b| pair_counts.get(a, b) * words);
+    report.rounds.add(
         phase::PART_EXCHANGE,
         clique.routing_rounds(stats.max_send, stats.max_recv),
     );
@@ -106,8 +103,10 @@ pub(crate) fn run_streaming(
     // node-local listings are independent, so this is a dense local
     // enumeration the engine may shard across threads — output is identical
     // at any `Parallelism` setting.
-    let threads_used = crate::local::stream_cliques(graph, config, sink);
-    (rounds, stats, threads_used)
+    report.parallelism.threads_used =
+        crate::local::stream_indexed_cliques(graph, &index, config, sink);
+    report.kernel.degeneracy = Some(index.degeneracy());
+    report
 }
 
 #[cfg(test)]
@@ -163,6 +162,16 @@ mod tests {
             large.total_rounds()
         );
         assert!(large.congested_clique.unwrap().predicted_rounds < 2.0);
+    }
+
+    #[test]
+    fn the_kernel_summary_reuses_the_runs_degeneracy() {
+        let g = gen::erdos_renyi(120, 0.2, 9);
+        let (report, _) = run(&g, 4, 1);
+        let expected = graphcore::orientation::degeneracy_ordering(&g).degeneracy;
+        assert_eq!(report.kernel.degeneracy, Some(expected));
+        let (report, _) = run(&Graph::new(10), 4, 0);
+        assert_eq!(report.kernel.degeneracy, Some(0));
     }
 
     #[test]

@@ -198,12 +198,7 @@ impl ListingAlgorithm for CongestedCliqueListing {
     }
 
     fn run(&self, graph: &Graph, config: &ListingConfig, sink: &mut dyn CliqueSink) -> RunReport {
-        let mut report = RunReport::new(names::CONGESTED_CLIQUE, Model::CongestedClique, config.p);
-        let (rounds, stats, threads_used) = congested_clique::run_streaming(graph, config, sink);
-        report.rounds = rounds;
-        report.congested_clique = Some(stats);
-        report.parallelism.threads_used = threads_used;
-        report
+        congested_clique::run_streaming(graph, config, sink)
     }
 }
 
@@ -367,13 +362,17 @@ impl Engine {
         // Like the thread counts, the kernel summary is an execution detail
         // kept out of `to_json`: the resolution is recomputed here as a pure
         // function of the input graph's degeneracy so callers can see which
-        // kernel `Auto` picked without re-deriving the heuristic.
+        // kernel `Auto` picked without re-deriving the heuristic. Algorithms
+        // that ordered the input graph while running recorded its degeneracy;
+        // the others get a fresh ordering.
+        let degeneracy = report
+            .kernel
+            .degeneracy
+            .unwrap_or_else(|| graphcore::orientation::degeneracy_ordering(graph).degeneracy);
         report.kernel = KernelSummary {
             requested: self.config.kernel,
-            resolved: self
-                .config
-                .kernel
-                .resolve(graphcore::orientation::degeneracy_ordering(graph).degeneracy),
+            resolved: self.config.kernel.resolve(degeneracy),
+            degeneracy: Some(degeneracy),
         };
         // Capability + build only — never the requested thread count — so the
         // serialised report stays byte-identical across parallelism settings.

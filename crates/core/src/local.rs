@@ -11,17 +11,25 @@
 //!
 //! The parallel path keeps the engine's exactly-once deterministic emission
 //! contract by construction: workers claim contiguous shards of the
-//! degeneracy ordering from a [`ShardedEnumerator`] and fill one
-//! [`ShardBuffer`] per shard; only the orchestrating thread touches the real
-//! sink, replaying buffers in ascending shard order. Shard boundaries vary
-//! with the thread count but their concatenation is always the full root
-//! sequence, so the accept sequence is byte-identical to the sequential
-//! path's (`DESIGN.md` §8). Saturation stops the replay immediately and
-//! tells the workers to abandon their remaining shards.
+//! degeneracy ordering from a
+//! [`ShardedEnumerator`](graphcore::cliques::ShardedEnumerator) and fill one
+//! [`ShardBuffer`](crate::sink::ShardBuffer) per shard; only the
+//! orchestrating thread touches the real sink, replaying buffers in
+//! ascending shard order. Shard boundaries vary with the thread count but
+//! their concatenation is always the full root sequence, so the accept
+//! sequence is byte-identical to the sequential path's (`DESIGN.md` §8).
+//! Saturation stops the replay immediately and tells the workers to abandon
+//! their remaining shards.
 
 use crate::config::ListingConfig;
 use crate::sink::CliqueSink;
-use graphcore::{cliques, Graph};
+use graphcore::cliques::CliqueIndex;
+use graphcore::Graph;
+
+/// Cliques the sequential path buffers before handing them to the sink in
+/// one [`CliqueSink::accept_rows`] call. It also bounds the enumeration that
+/// runs past the row that saturates the sink.
+const BATCH_ROWS: usize = 256;
 
 /// Emits every `p`-clique of `graph` into `sink` exactly once, in the
 /// deterministic sequential order, honouring saturation. Uses
@@ -42,36 +50,72 @@ pub(crate) fn stream_cliques(
     if sink.is_saturated() {
         return 1;
     }
+    stream_indexed_cliques(graph, &CliqueIndex::build(graph), config, sink)
+}
+
+/// [`stream_cliques`] against a prebuilt index of `graph` (ordering + DAG +
+/// bitsets), for callers that already needed the index for something else —
+/// the same build/query split the `query` crate's `GraphSnapshot` amortises
+/// across whole batches.
+pub(crate) fn stream_indexed_cliques(
+    graph: &Graph,
+    index: &CliqueIndex,
+    config: &ListingConfig,
+    sink: &mut dyn CliqueSink,
+) -> usize {
+    if sink.is_saturated() {
+        return 1;
+    }
     #[cfg(feature = "parallel")]
     {
         let threads = config.effective_threads(true);
         if threads > 1 && config.p >= 3 {
-            // Build the snapshot artifact (ordering + DAG + bitsets) once and
-            // hand it to the sharded path — the same build/query split the
-            // `query` crate's GraphSnapshot amortises across whole batches.
-            let index = cliques::CliqueIndex::build(graph);
-            return parallel_stream(graph, &index, config, threads, sink);
+            return parallel_stream(graph, index, config, threads, sink);
         }
     }
-    cliques::for_each_clique_while_with(graph, config.p, config.kernel, |c| {
-        sink.accept(c);
-        !sink.is_saturated()
-    });
+    sequential_stream(graph, index, config, sink);
     1
+}
+
+/// The sequential path: enumerates on this thread and hands the cliques to
+/// `sink` in batches of [`BATCH_ROWS`]. `accept_rows` keeps the per-clique
+/// accept/saturation sequence, so the sink sees exactly the cliques a
+/// per-clique loop would hand it.
+fn sequential_stream(
+    graph: &Graph,
+    index: &CliqueIndex,
+    config: &ListingConfig,
+    sink: &mut dyn CliqueSink,
+) {
+    let p = config.p;
+    let mut batch: Vec<u32> = Vec::with_capacity(BATCH_ROWS * p);
+    let mut flush = |batch: &mut Vec<u32>| {
+        sink.accept_rows(batch, p);
+        batch.clear();
+        !sink.is_saturated()
+    };
+    let completed = index.for_each_clique_while_with(graph, p, config.kernel, |c| {
+        batch.extend_from_slice(c);
+        batch.len() < BATCH_ROWS * p || flush(&mut batch)
+    });
+    if completed {
+        flush(&mut batch);
+    }
 }
 
 /// The sharded path: fan shards out over scoped worker threads through
 /// [`graphcore::ordered_merge::ordered_merge`] (the single orchestration
 /// shared with the graph-level drivers and the cluster fan-out of
 /// `arb_list` — stop flag, ordered replay and backpressure live there), with
-/// one [`ShardBuffer`] per shard bridging the enumeration to the
-/// `dyn CliqueSink`. Only this thread ever touches `sink`. Returns the worker
-/// count actually spawned (`threads` capped by the shard count; 1 when the
-/// plan degenerates to a single shard and the enumeration runs inline).
+/// one [`ShardBuffer`](crate::sink::ShardBuffer) per shard bridging the
+/// enumeration to the `dyn CliqueSink`. Only this thread ever touches
+/// `sink`, one `accept_rows` call per shard. Returns the worker count
+/// actually spawned (`threads` capped by the shard count; 1 when the plan
+/// degenerates to a single shard and the enumeration runs inline).
 #[cfg(feature = "parallel")]
 fn parallel_stream(
     graph: &Graph,
-    index: &cliques::CliqueIndex,
+    index: &CliqueIndex,
     config: &ListingConfig,
     threads: usize,
     sink: &mut dyn CliqueSink,
@@ -86,10 +130,7 @@ fn parallel_stream(
             .with_kernel(config.kernel);
     let shards = enumerator.num_shards();
     if shards <= 1 {
-        index.for_each_clique_while_with(graph, p, config.kernel, |c| {
-            sink.accept(c);
-            !sink.is_saturated()
-        });
+        sequential_stream(graph, index, config, sink);
         return 1;
     }
     merge_shards(
@@ -110,7 +151,7 @@ mod tests {
     use super::*;
     use crate::config::{ListingConfig, Parallelism};
     use crate::sink::{CollectSink, FirstK};
-    use graphcore::gen;
+    use graphcore::{cliques, gen};
 
     fn config(p: usize, parallelism: Parallelism) -> ListingConfig {
         ListingConfig {
@@ -149,13 +190,25 @@ mod tests {
 
     #[test]
     fn saturated_sinks_get_the_sequential_prefix() {
+        // 1820 cliques: several sequential batches. Limits around the batch
+        // boundary saturate the sink on a batch's last row, its first row
+        // and mid-batch; each must see exactly the per-clique prefix.
         let g = gen::complete_graph(16);
-        let mut reference = FirstK::new(7);
-        stream_cliques(&g, &config(4, Parallelism::Off), &mut reference);
-        for threads in [2usize, 8] {
-            let mut first = FirstK::new(7);
-            stream_cliques(&g, &config(4, Parallelism::Threads(threads)), &mut first);
-            assert_eq!(first.cliques, reference.cliques, "threads={threads}");
+        let mut order = Vec::new();
+        cliques::for_each_clique_while(&g, 4, |c| {
+            order.push(c.to_vec());
+            true
+        });
+        for k in [7, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 1000] {
+            for parallelism in [
+                Parallelism::Off,
+                Parallelism::Threads(2),
+                Parallelism::Threads(8),
+            ] {
+                let mut first = FirstK::new(k);
+                stream_cliques(&g, &config(4, parallelism), &mut first);
+                assert_eq!(first.cliques, order[..k], "k={k} {parallelism:?}");
+            }
         }
         // An already-saturated sink costs nothing.
         let mut full = FirstK::new(0);

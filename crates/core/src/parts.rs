@@ -99,23 +99,54 @@ impl TupleAssignment {
         self.tuples_containing(a, b).min(self.k as u64)
     }
 
-    /// Writes the distinct unordered part pairs of tuple `t` into `out`
-    /// (cleared first), canonical `(min, max)` form, sorted ascending.
-    ///
-    /// This is the per-tuple pair enumeration both exchange-load accountings
-    /// (in-cluster and CONGESTED CLIQUE) sum [`expander::PairTable`] counts
-    /// over; the scratch-vector dedup replaces a per-tuple hash set, so the
-    /// iteration order is structural.
-    pub fn distinct_pairs_into(&self, t: u64, out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        let digits = self.tuple_parts(t);
+    /// Calls `visit(a, b)` once per distinct unordered part pair of tuple
+    /// `t` — `a ≤ b`, with `(a, a)` when part `a` occurs twice — in
+    /// ascending order. Allocation-free: the digits are decoded and sorted on
+    /// the stack.
+    pub fn for_each_distinct_pair(&self, t: u64, mut visit: impl FnMut(u32, u32)) {
+        // `P^p` fits a `u64`, so `p ≤ 64` whenever `P ≥ 2`; with `P = 1`
+        // every digit is 0 and the first 64 digits carry the same pairs.
+        let mut buffer = [0u32; 64];
+        let digits = &mut buffer[..self.p.min(64)];
+        let mut rest = t;
+        for digit in digits.iter_mut() {
+            *digit = (rest % u64::from(self.num_parts)) as u32;
+            rest /= u64::from(self.num_parts);
+        }
+        digits.sort_unstable();
         for (i, &a) in digits.iter().enumerate() {
-            for &b in &digits[i + 1..] {
-                out.push((a.min(b), a.max(b)));
+            if i > 0 && digits[i - 1] == a {
+                continue;
+            }
+            if digits.get(i + 1) == Some(&a) {
+                visit(a, a);
+            }
+            for (j, &b) in digits.iter().enumerate().skip(i + 1) {
+                if b != a && digits[j - 1] != b {
+                    visit(a, b);
+                }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+    }
+
+    /// The receive load of the part exchange: the maximum, over node ranks,
+    /// of `count(a, b)` summed over the distinct part pairs of every tuple
+    /// the rank owns ([`TupleAssignment::for_each_distinct_pair`]).
+    ///
+    /// Both exchange-load accountings (in-cluster and CONGESTED CLIQUE) are
+    /// this one pass; `count` is typically a [`expander::PairTable`] lookup
+    /// times the words per edge. No allocation, and the summation order is
+    /// structural.
+    pub fn max_receive_load(&self, mut count: impl FnMut(u32, u32) -> u64) -> u64 {
+        let mut max = 0;
+        for rank in 0..self.k {
+            let mut load = 0;
+            for t in (rank as u64..self.num_tuples).step_by(self.k) {
+                self.for_each_distinct_pair(t, |a, b| load += count(a, b));
+            }
+            max = max.max(load);
+        }
+        max
     }
 }
 
@@ -187,28 +218,49 @@ mod tests {
 
     #[test]
     fn distinct_pairs_are_sorted_and_deduped() {
-        let asg = TupleAssignment::new(27, 3);
-        let mut pairs = Vec::new();
-        for t in 0..asg.num_tuples {
-            asg.distinct_pairs_into(t, &mut pairs);
-            // Reference: brute-force set of unordered digit pairs.
-            let digits = asg.tuple_parts(t);
-            let mut expected: Vec<(u32, u32)> = Vec::new();
-            for (i, &a) in digits.iter().enumerate() {
-                for &b in &digits[i + 1..] {
-                    let pair = (a.min(b), a.max(b));
-                    if !expected.contains(&pair) {
-                        expected.push(pair);
+        for asg in [
+            TupleAssignment::new(27, 3),
+            TupleAssignment::new(30, 4),
+            TupleAssignment::new(1, 70),
+        ] {
+            for t in 0..asg.num_tuples {
+                let mut pairs = Vec::new();
+                asg.for_each_distinct_pair(t, |a, b| pairs.push((a, b)));
+                // Reference: brute-force set of unordered digit pairs.
+                let digits = asg.tuple_parts(t);
+                let mut expected: Vec<(u32, u32)> = Vec::new();
+                for (i, &a) in digits.iter().enumerate() {
+                    for &b in &digits[i + 1..] {
+                        let pair = (a.min(b), a.max(b));
+                        if !expected.contains(&pair) {
+                            expected.push(pair);
+                        }
                     }
                 }
+                expected.sort_unstable();
+                assert_eq!(pairs, expected, "p={} tuple {t}", asg.p);
+                assert!(
+                    pairs.windows(2).all(|w| w[0] < w[1]),
+                    "tuple {t} not strict"
+                );
             }
-            expected.sort_unstable();
-            assert_eq!(pairs, expected, "tuple {t}");
-            assert!(
-                pairs.windows(2).all(|w| w[0] < w[1]),
-                "tuple {t} not strict"
-            );
         }
+    }
+
+    #[test]
+    fn receive_load_sums_every_owned_tuple() {
+        let asg = TupleAssignment::new(30, 4);
+        let count = |a: u32, b: u32| u64::from(a * 7 + b + 1);
+        let mut expected = 0;
+        for rank in 0..30 {
+            let mut load = 0;
+            for t in asg.tuples_of(rank) {
+                asg.for_each_distinct_pair(t, |a, b| load += count(a, b));
+            }
+            expected = expected.max(load);
+        }
+        assert_eq!(asg.max_receive_load(count), expected);
+        assert_eq!(TupleAssignment::new(1, 3).max_receive_load(|_, _| 5), 5);
     }
 
     #[test]

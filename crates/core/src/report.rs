@@ -109,6 +109,12 @@ pub struct KernelSummary {
     /// top-level resolution so scaling reports can attribute wall-clock
     /// differences to the kernel that actually ran on the dominant input.
     pub resolved: KernelChoice,
+    /// The input graph's degeneracy `resolved` was derived from. An
+    /// algorithm that orders the input graph while running records it here
+    /// so the engine does not compute a second ordering; the engine fills it
+    /// otherwise, so it is `None` only on reports built outside
+    /// [`Engine::run`](crate::Engine::run).
+    pub degeneracy: Option<usize>,
 }
 
 impl Default for KernelSummary {
@@ -116,6 +122,7 @@ impl Default for KernelSummary {
         KernelSummary {
             requested: KernelStrategy::Auto,
             resolved: KernelChoice::Recursive,
+            degeneracy: None,
         }
     }
 }
@@ -379,6 +386,7 @@ mod tests {
         report.kernel = KernelSummary {
             requested: KernelStrategy::Trie,
             resolved: KernelChoice::Trie,
+            degeneracy: Some(40),
         };
         let json = report.to_json();
         assert_eq!(json, baseline);

@@ -163,24 +163,13 @@ pub fn cluster_listing(
         let part_size = (n as u64).div_ceil(u64::from(assignment.num_parts)).max(1);
         part_size * part_size
     };
-    let mut max_exchange_recv = 0u64;
-    // Scratch for the distinct part pairs of one tuple: at most p(p−1)/2
-    // entries, sorted + deduped in place (no per-tuple hash set).
-    let mut tuple_pairs: Vec<(u32, u32)> = Vec::new();
-    for rank in 0..k {
-        let mut load = 0u64;
-        for t in assignment.tuples_of(rank) {
-            assignment.distinct_pairs_into(t, &mut tuple_pairs);
-            for &(a, b) in &tuple_pairs {
-                let count = match mode {
-                    ExchangeMode::SparsityAware => pair_counts.get(a, b),
-                    ExchangeMode::DenseAssumption => dense_pair_load,
-                };
-                load += count * words;
-            }
-        }
-        max_exchange_recv = max_exchange_recv.max(load);
-    }
+    let max_exchange_recv = assignment.max_receive_load(|a, b| {
+        let count = match mode {
+            ExchangeMode::SparsityAware => pair_counts.get(a, b),
+            ExchangeMode::DenseAssumption => dense_pair_load,
+        };
+        count * words
+    });
     // Send load per rank: each known edge (owned by the responsible node of
     // its source) is sent to every node owning a tuple containing both
     // endpoint parts.
